@@ -14,17 +14,19 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The PR that introduced the form-polymorphic Query surface deleted the
-# buffered FederatedSelect* wrappers, the per-subsystem Configure*/Stats
-# methods and the ad-hoc /api/query route. This guard keeps them deleted:
-# any Go file reintroducing one of the identifiers fails the build (and
-# CI runs it on every push).
-DEPRECATED_IDENTIFIERS = 'FederatedSelect|ConfigureFederation\(|ConfigurePlanner\(|ConfigureDecomposer\(|FederationStats\(\)|DecomposerStats\(\)|/api/query'
+# The /sparql redesign deleted the buffered FederatedSelect* wrappers,
+# the per-subsystem Configure*/Stats methods and the ad-hoc /api/query
+# route; the one-store change deleted the second triple store
+# (DictStore), the in-process local:// endpoint transport and the
+# synthetic view voiD. This guard keeps them deleted: any Go file
+# reintroducing one of the identifiers fails the build (and CI runs it
+# on every push).
+DEPRECATED_IDENTIFIERS = 'FederatedSelect|ConfigureFederation\(|ConfigurePlanner\(|ConfigureDecomposer\(|FederationStats\(\)|DecomposerStats\(\)|/api/query|DictStore|RegisterLocal|local://|SyntheticDataset'
 
 check-deprecated:
 	@matches=$$(grep -rnE $(DEPRECATED_IDENTIFIERS) --include='*.go' . || true); \
 	if [ -n "$$matches" ]; then \
-		echo "deprecated identifiers found (removed in the /sparql redesign):"; \
+		echo "deprecated identifiers found (removed code paths):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -41,20 +43,19 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
 # Fast single-iteration benchmark pass (CI runs this): keeps every
-# benchmark compiling and running, and asserts the view-tier and
-# dict-store benchmarks — whose bodies carry correctness checks, like
-# the view path's zero-endpoint-round-trip guarantee — stayed part of
-# the sweep.
+# benchmark compiling and running, and asserts the view-tier and merge
+# benchmarks — whose bodies carry correctness checks, like the view
+# path's zero-endpoint-round-trip guarantee — stayed part of the sweep.
 bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View \
-			BenchmarkDictStoreVsMapStore BenchmarkE9_CorefLookup/MergeRep/DictInterned; do \
+			BenchmarkE9_CorefLookup/MergeRep/DictInterned; do \
 		grep -q "$$b" bench-smoke.out || \
 			{ echo "bench-smoke: $$b missing from the sweep" >&2; rm -f bench-smoke.out; exit 1; }; \
 	done
 	@cat bench-smoke.out; rm -f bench-smoke.out
-	@echo "bench-smoke: every benchmark ran; view and dict-store benchmarks present"
+	@echo "bench-smoke: every benchmark ran; view and merge benchmarks present"
 
 # End-to-end observability smoke test: boot the real binary on a free
 # port, run one planner-selected federated query, scrape /metrics and

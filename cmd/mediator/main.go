@@ -142,18 +142,18 @@
 //
 // With -views, the mediator mines the decomposed-query stream for
 // frequently repeated cross-vocabulary join shapes and materializes
-// their sameAs-canonicalised federated answer into an embedded
-// dictionary-encoded triple store served behind an in-process local://
-// endpoint — later queries whose basic graph pattern matches a view
-// (modulo variable renaming and owl:sameAs spelling) are answered
-// locally with zero endpoint round trips; FILTER, projection, DISTINCT
-// and LIMIT still apply, evaluated by the embedded engine. Views are
+// their sameAs-canonicalised federated answer into an embedded triple
+// store — later queries whose basic graph pattern matches a view
+// (modulo variable renaming and owl:sameAs spelling) are evaluated on
+// that store in place, with zero endpoint round trips; FILTER,
+// projection, DISTINCT and LIMIT still apply, evaluated by the embedded
+// engine. Views are
 // never silently stale: a voiD update marks views over that data set
 // stale, an alignment update marks all views stale, stale views refuse
 // to answer (queries fall back to federation), and a background loop
 // re-materializes them — plus on a TTL when -view-refresh is set. GET
 // /api/views lists each view's covered shape, source data sets,
-// freshness and synthetic voiD statistics; sparqlrw_view_{hits,misses,
+// freshness, size and hits; sparqlrw_view_{hits,misses,
 // refreshes,triples} track the tier in /metrics; POST /api/alignments
 // loads alignment Turtle into the running KB (and invalidates). The
 // knobs:

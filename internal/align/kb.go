@@ -42,12 +42,26 @@ func (kb *KB) Subscribe(fn func()) (cancel func()) {
 }
 
 // Add validates and stores an ontology alignment, notifying subscribers.
+// An alignment whose non-empty URI is already stored replaces the stored
+// one in place, so re-posting a document never duplicates it.
 func (kb *KB) Add(oa *OntologyAlignment) error {
 	if err := oa.Validate(); err != nil {
 		return err
 	}
 	kb.mu.Lock()
-	kb.oas = append(kb.oas, oa)
+	replaced := false
+	if oa.URI != "" {
+		for i, old := range kb.oas {
+			if old.URI == oa.URI {
+				kb.oas[i] = oa
+				replaced = true
+				break
+			}
+		}
+	}
+	if !replaced {
+		kb.oas = append(kb.oas, oa)
+	}
 	listeners := make([]func(), 0, len(kb.listeners))
 	for _, fn := range kb.listeners {
 		listeners = append(listeners, fn)

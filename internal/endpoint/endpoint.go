@@ -52,8 +52,8 @@ type Server struct {
 	MaxRequestBody int64
 }
 
-// NewServer wraps a triple source (a nested-map Store or a
-// dictionary-encoded DictStore) as a SPARQL protocol server.
+// NewServer wraps a triple source (a store.Store) as a SPARQL protocol
+// server.
 func NewServer(name string, st eval.TripleSource) *Server {
 	return &Server{Engine: eval.New(st), Name: name}
 }
@@ -209,11 +209,9 @@ var sharedTransport = &http.Transport{
 // response body read.
 const defaultTimeout = 30 * time.Second
 
-// NewClient returns a client backed by the shared pooled transport,
-// wrapped so that local:// URLs are dispatched in-process (see
-// RegisterLocal) while everything else goes over the network.
+// NewClient returns a client backed by the shared pooled transport.
 func NewClient() *Client {
-	return &Client{HTTP: &http.Client{Transport: &localTransport{next: sharedTransport}}}
+	return &Client{HTTP: &http.Client{Transport: sharedTransport}}
 }
 
 func (c *Client) maxResponseBody() int64 {

@@ -12,8 +12,8 @@ import (
 
 // TripleSource is the storage surface the engine evaluates against: a
 // pattern matcher plus the two statistics the join-order heuristic needs.
-// Both store.Store (nested term maps) and store.DictStore (dictionary
-// encoded) satisfy it.
+// store.Store, the dictionary-encoded triple store, implements it; the
+// endpoints and the materialized views both evaluate over one.
 type TripleSource interface {
 	// Match invokes fn for every stored triple matching the pattern,
 	// treating variable and zero positions as wildcards; fn returning

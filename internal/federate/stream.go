@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
@@ -42,11 +41,26 @@ type Stream struct {
 	err    error
 	cancel context.CancelFunc
 
-	// stopped records that the consumer closed the stream deliberately,
-	// so the resulting sub-query cancellations are not misreported as
-	// endpoint failures.
-	stopped   atomic.Bool
+	// stopped records that the consumer closed the stream deliberately.
+	// stopMu orders Close against each sub-query's completion, so an
+	// error is abandonment exactly when Close came first, whatever the
+	// transport surfaced (a cancellation or a closed-connection read).
+	stopMu    sync.Mutex
+	stopped   bool
 	closeOnce sync.Once
+}
+
+// settle classifies a finished sub-query's error: once the consumer has
+// closed the stream, it is abandonment (ErrStreamClosed), never an
+// upstream failure. It reports whether the answer was abandoned.
+func (s *Stream) settle(a *DatasetAnswer) bool {
+	s.stopMu.Lock()
+	defer s.stopMu.Unlock()
+	if a.Err != nil && s.stopped {
+		a.Err = ErrStreamClosed
+		return true
+	}
+	return false
 }
 
 // Vars returns the projection variable names.
@@ -71,7 +85,9 @@ func (s *Stream) Next() (eval.Solution, error) {
 // early must call it so in-flight endpoint requests are torn down.
 func (s *Stream) Close() error {
 	s.closeOnce.Do(func() {
-		s.stopped.Store(true)
+		s.stopMu.Lock()
+		s.stopped = true
+		s.stopMu.Unlock()
 		s.cancel()
 		// Unblock the producer; the fan-out notices the cancellation and
 		// winds down, closing out.
@@ -171,6 +187,7 @@ admit:
 				answers[j] = DatasetAnswer{Dataset: req.Targets[j].Dataset,
 					Shard: req.Targets[j].Shard, Shards: req.Targets[j].Shards,
 					Query: targetQuery(req, req.Targets[j]), Err: ctx.Err()}
+				s.settle(&answers[j])
 			}
 			break admit
 		}
@@ -178,7 +195,7 @@ admit:
 		go func(i int, t Target) {
 			defer wg.Done()
 			answers[i] = e.queryTarget(ctx, req, t, solCh, sem)
-			if answers[i].Err != nil && e.opts.FailFast {
+			if answers[i].Err != nil && !s.settle(&answers[i]) && e.opts.FailFast {
 				failMu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("federate: %s: %w", t.Dataset, answers[i].Err)
@@ -197,27 +214,21 @@ admit:
 		PerDataset: answers,
 		Duplicates: m.duplicates,
 	}
-	// A deliberate consumer Close cancels the fan-out; the resulting
-	// context.Canceled answers are abandonment, not endpoint failures.
-	stopped := s.stopped.Load()
 	var failed, ok int
-	for i := range answers {
-		a := &answers[i]
-		if a.Err != nil && stopped && errors.Is(a.Err, context.Canceled) {
-			a.Err = ErrStreamClosed
-			continue // neither failed nor ok: does not make the result Partial
-		}
-		if a.Err != nil {
+	for _, a := range answers {
+		switch {
+		case errors.Is(a.Err, ErrStreamClosed):
+			// neither failed nor ok: does not make the result Partial
+		case a.Err != nil:
 			failed++
-		} else {
+		default:
 			ok++
 		}
 	}
 	res.Partial = failed > 0 && ok > 0
 	s.res = res
-	if e.opts.FailFast && firstErr != nil &&
-		!(stopped && errors.Is(firstErr, context.Canceled)) {
-		s.err = firstErr
+	if e.opts.FailFast {
+		s.err = firstErr // only failures settled before any Close
 	}
 	span.SetAttr("duplicates", res.Duplicates)
 	span.SetAttr("partial", res.Partial)

@@ -21,6 +21,10 @@ type fakeStream struct {
 	// failAfter, when non-nil, is returned instead of io.EOF once the
 	// scripted solutions are exhausted (a mid-stream transport error).
 	failAfter error
+	// cancelErr, when non-nil, is what a gated Next returns once its
+	// context is cancelled, the way a real transport surfaces a torn-down
+	// connection as a read error rather than context.Canceled.
+	cancelErr error
 	i         int
 	ctx       context.Context
 	closed    atomic.Bool
@@ -39,6 +43,9 @@ func (s *fakeStream) Next() (eval.Solution, error) {
 		select {
 		case <-s.gates[s.i]:
 		case <-s.ctx.Done():
+			if s.cancelErr != nil {
+				return nil, s.cancelErr
+			}
 			return nil, s.ctx.Err()
 		}
 	}
@@ -187,6 +194,82 @@ func TestSelectStreamCloseCancelsUpstream(t *testing.T) {
 		if !st.closed.Load() {
 			t.Fatal("endpoint stream not closed after Close")
 		}
+	}
+}
+
+// TestCloseAbandonsWhateverTheTransportError: a sub-query still running
+// when the consumer closes the stream is abandoned, even when its
+// transport reports the teardown as a closed-connection read error
+// instead of context.Canceled; the finished sibling keeps the result
+// from being marked partial.
+func TestCloseAbandonsWhateverTheTransportError(t *testing.T) {
+	fc := newFakeStreamClient()
+	fc.onStream("http://a/sparql", func(ctx context.Context) *fakeStream {
+		return &fakeStream{vars: []string{"a"},
+			sols:      answers("http://x/1", "http://x/never").Solutions,
+			gates:     []chan struct{}{nil, make(chan struct{})},
+			cancelErr: errors.New("read tcp 127.0.0.1:1: use of closed network connection")}
+	})
+	fc.onStream("http://b/sparql", func(ctx context.Context) *fakeStream {
+		return &fakeStream{vars: []string{"a"}, sols: answers("http://x/2").Solutions}
+	})
+	e := NewExecutor(fc, nil, nil, fastOpts())
+	s := e.SelectStream(context.Background(), req(
+		Target{Dataset: "http://a/", Endpoint: "http://a/sparql"},
+		Target{Dataset: "http://b/", Endpoint: "http://b/sparql"}))
+	for i := 0; i < 2; i++ {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	res, err := s.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partial {
+		t.Fatalf("Close marked the result partial: %+v", res.PerDataset)
+	}
+	if a := res.PerDataset[0]; !errors.Is(a.Err, ErrStreamClosed) {
+		t.Fatalf("abandoned sub-query reported %v, want ErrStreamClosed", a.Err)
+	}
+	if b := res.PerDataset[1]; b.Err != nil || b.Solutions != 1 {
+		t.Fatalf("finished sub-query = %+v", b)
+	}
+}
+
+// TestFailureBeforeCloseStillCounts: a sub-query that failed before the
+// consumer closed the stream stays a failure, and the result partial.
+func TestFailureBeforeCloseStillCounts(t *testing.T) {
+	fc := newFakeStreamClient()
+	boom := errors.New("endpoint answered 500 mid-stream")
+	fc.onStream("http://a/sparql", func(ctx context.Context) *fakeStream {
+		return &fakeStream{vars: []string{"a"}, sols: answers("http://x/1").Solutions, failAfter: boom}
+	})
+	fc.onStream("http://b/sparql", func(ctx context.Context) *fakeStream {
+		return &fakeStream{vars: []string{"a"}, sols: answers("http://x/2").Solutions}
+	})
+	e := NewExecutor(fc, nil, nil, fastOpts())
+	s := e.SelectStream(context.Background(), req(
+		Target{Dataset: "http://a/", Endpoint: "http://a/sparql"},
+		Target{Dataset: "http://b/", Endpoint: "http://b/sparql"}))
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			break // every sub-query has settled
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	res, err := s.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial {
+		t.Fatalf("failure before Close not reported partial: %+v", res.PerDataset)
+	}
+	if a := res.PerDataset[0]; !errors.Is(a.Err, boom) {
+		t.Fatalf("failed sub-query reported %v, want %v", a.Err, boom)
 	}
 }
 

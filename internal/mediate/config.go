@@ -202,8 +202,8 @@ func (m *Mediator) rebuild() {
 	} else {
 		// Inject the shared registry and card store, then rebuild only
 		// when the effective options actually changed — the view manager
-		// owns background goroutines and local:// endpoint registrations,
-		// so gratuitous rebuilds would churn both. A new observer changes
+		// owns background goroutines and materialized stores, so
+		// gratuitous rebuilds would churn both. A new observer changes
 		// the injected pointers, which forces the rebuild it requires.
 		vOpts := *m.cfg.Views
 		vOpts.Registry = m.Obs.Registry

@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"iter"
+	"sync"
 
 	"sparqlrw/internal/decompose"
-	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
 	"sparqlrw/internal/obs"
@@ -84,11 +85,12 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 }
 
 // viewAnswer serves the query from a covering materialized view, when
-// one is ready. It returns ok=false — and the caller proceeds to the
-// federated path — on a miss, a stale view, or a local-stream failure.
+// one is ready, by evaluating it on the view's store in place. It
+// returns ok=false — and the caller proceeds to the federated path — on
+// a miss, a stale view, or an evaluation that fails to start.
 func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
 	canon := newCorefCanon(m.Coref)
-	v, ok := m.Views.Answer(q, canon.term)
+	v, engine, ok := m.Views.Answer(q, canon.term)
 	if !ok {
 		return nil, false
 	}
@@ -104,8 +106,7 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	_, span := obs.StartSpan(ctx, "view")
 	span.SetAttr("view", v.ID())
-	span.SetAttr("endpoint", v.Endpoint())
-	st, err := m.Client.SelectStreamContext(ctx, v.Endpoint(), sparql.Format(cq))
+	sr, err := engine.SelectSeq(cq)
 	if err != nil {
 		// The query falls back to federation, so for the metrics the
 		// paper's experiment reads this is a miss, not a hit.
@@ -116,10 +117,9 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	}
 	m.Views.CountHit(v)
 	span.End()
-	return &QueryStream{
-		limit: req.Limit,
-		src:   &viewSource{st: st, view: v},
-	}, true
+	src := &viewSource{ctx: ctx, vars: sr.Vars, view: v}
+	src.next, src.stop = iter.Pull2(sr.Seq)
+	return &QueryStream{limit: req.Limit, src: src}, true
 }
 
 // observeViews feeds one decomposed multi-source query to the shape
@@ -138,34 +138,68 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.term)
 }
 
-// viewSource adapts a view endpoint's solution stream to the
-// solutionSource shape. Its Summary lists the view pseudo-dataset first
-// and the view's source data sets after it — all with zero Attempts
-// (nothing was dispatched over the federation), but present so the
-// result cache's invalidate-by-dataset still covers entries filled from
-// a view.
+// viewSource pulls solutions straight from the evaluator running over a
+// view's store. Its Summary lists the view pseudo-dataset first and the
+// view's source data sets after it — all with zero Attempts (nothing was
+// dispatched over the federation), but present so the result cache's
+// invalidate-by-dataset still covers entries filled from a view.
 type viewSource struct {
-	st   *endpoint.SelectStream
+	ctx  context.Context
+	vars []string
 	view *view.View
+
+	// mu serialises the iter.Pull2 handles (Next and a concurrent Close
+	// must not drive the coroutine simultaneously) and guards the fields
+	// below it.
+	mu   sync.Mutex
 	n    int
+	next func() (eval.Solution, error, bool)
+	stop func()
+	err  error
 }
 
-func (s *viewSource) Vars() []string { return s.st.Vars() }
+func (s *viewSource) Vars() []string { return s.vars }
 
+// Next returns the next solution, io.EOF at the end, or the context's
+// error once the query is cancelled — evaluation stops at the next row,
+// as an endpoint stops when its client goes away.
 func (s *viewSource) Next() (eval.Solution, error) {
-	sol, err := s.st.Next()
-	if err == nil {
-		s.n++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.ctx.Err(); err != nil {
+		s.stop()
+		return nil, err
 	}
-	return sol, err
+	if s.err != nil {
+		return nil, s.err
+	}
+	sol, err, ok := s.next()
+	if !ok {
+		return nil, io.EOF
+	}
+	if err != nil {
+		s.err = err
+		s.stop()
+		return nil, err
+	}
+	s.n++
+	return sol, nil
 }
 
-func (s *viewSource) Close() error { return s.st.Close() }
+func (s *viewSource) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stop()
+	return nil
+}
 
 func (s *viewSource) Summary() (*federate.Result, error) {
-	per := []federate.DatasetAnswer{{Dataset: "view:" + s.view.ID(), Solutions: s.n}}
+	s.mu.Lock()
+	n := s.n
+	s.mu.Unlock()
+	per := []federate.DatasetAnswer{{Dataset: "view:" + s.view.ID(), Solutions: n}}
 	for _, ds := range s.view.Datasets() {
 		per = append(per, federate.DatasetAnswer{Dataset: ds})
 	}
-	return &federate.Result{Vars: s.st.Vars(), PerDataset: per}, nil
+	return &federate.Result{Vars: s.vars, PerDataset: per}, nil
 }

@@ -80,3 +80,18 @@ func (d *Dict) InternIRI(uri string) uint32 {
 func (d *Dict) IRI(id uint32) string {
 	return d.Term(id).Value
 }
+
+// decode translates packed id triples back to terms under one read lock,
+// so a match pays for one lock round trip rather than one per term.
+func (d *Dict) decode(ids [][3]uint32) []rdf.Triple {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]rdf.Triple, len(ids))
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for i, t := range ids {
+		out[i] = rdf.Triple{S: d.terms[t[0]], P: d.terms[t[1]], O: d.terms[t[2]]}
+	}
+	return out
+}

@@ -1,28 +1,34 @@
 // Package store implements an indexed, concurrency-safe, in-memory RDF
-// triple store. It maintains three nested-map indexes (SPO, POS, OSP) so
-// that any triple pattern with at least one bound position is answered by
-// index lookup rather than a scan. It is the storage substrate behind the
-// SPARQL evaluator, the SPARQL protocol endpoints, and the materialisation
-// baseline.
+// triple store. Terms are interned to dense uint32 ids through a Dict and
+// three indexes (SPO, POS, OSP) are kept over the packed id triples, so
+// any triple pattern with at least one bound position is answered by
+// index lookup rather than a scan, and equality during matching is
+// integer comparison. It is the one storage substrate behind the SPARQL
+// evaluator, the SPARQL protocol endpoints, the materialized views and
+// the materialisation baseline.
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"sparqlrw/internal/rdf"
 )
 
-type index map[rdf.Term]map[rdf.Term]map[rdf.Term]struct{}
+// idIndex is a three-level index over dictionary ids; the per-level maps
+// are keyed by uint32 instead of full rdf.Term structs, so lookups hash a
+// machine word rather than a multi-field string struct.
+type idIndex map[uint32]map[uint32]map[uint32]struct{}
 
-func (ix index) add(a, b, c rdf.Term) bool {
+func (ix idIndex) add(a, b, c uint32) bool {
 	m1, ok := ix[a]
 	if !ok {
-		m1 = make(map[rdf.Term]map[rdf.Term]struct{})
+		m1 = make(map[uint32]map[uint32]struct{})
 		ix[a] = m1
 	}
 	m2, ok := m1[b]
 	if !ok {
-		m2 = make(map[rdf.Term]struct{})
+		m2 = make(map[uint32]struct{})
 		m1[b] = m2
 	}
 	if _, exists := m2[c]; exists {
@@ -32,7 +38,7 @@ func (ix index) add(a, b, c rdf.Term) bool {
 	return true
 }
 
-func (ix index) remove(a, b, c rdf.Term) bool {
+func (ix idIndex) remove(a, b, c uint32) bool {
 	m1, ok := ix[a]
 	if !ok {
 		return false
@@ -54,35 +60,38 @@ func (ix index) remove(a, b, c rdf.Term) bool {
 	return true
 }
 
-// Store is an in-memory triple store. The zero value is not usable; create
-// stores with New.
+// Store is a dictionary-encoded in-memory triple store. The zero value is
+// not usable; create stores with New.
 type Store struct {
 	mu   sync.RWMutex
-	spo  index
-	pos  index
-	osp  index
+	dict *Dict
+	spo  idIndex
+	pos  idIndex
+	osp  idIndex
 	size int
 	// predCount tracks triples per predicate for selectivity estimation
 	// (used by the evaluator's join-order heuristic, cf. Stocker et al.,
 	// which the paper cites for BGP optimisation).
-	predCount map[rdf.Term]int
-	// classCount tracks instances per rdf:type object so the store can
-	// export void:classPartition statistics like a real endpoint.
-	classCount map[rdf.Term]int
+	predCount map[uint32]int
+	// classCount tracks instances per rdf:type object.
+	classCount map[uint32]int
+	typeID     uint32
 }
 
-// rdfType is the rdf:type predicate, which feeds the class partition
-// counters.
+// rdfType is the rdf:type predicate, which feeds the class counters.
 var rdfType = rdf.NewIRI(rdf.RDFType)
 
-// New returns an empty store.
+// New returns an empty store with its own dictionary.
 func New() *Store {
+	d := NewDict()
 	return &Store{
-		spo:        make(index),
-		pos:        make(index),
-		osp:        make(index),
-		predCount:  make(map[rdf.Term]int),
-		classCount: make(map[rdf.Term]int),
+		dict:       d,
+		spo:        make(idIndex),
+		pos:        make(idIndex),
+		osp:        make(idIndex),
+		predCount:  make(map[uint32]int),
+		classCount: make(map[uint32]int),
+		typeID:     d.Intern(rdfType),
 	}
 }
 
@@ -92,17 +101,18 @@ func (s *Store) Add(t rdf.Triple) bool {
 	if !validData(t) {
 		return false
 	}
+	sid, pid, oid := s.dict.Intern(t.S), s.dict.Intern(t.P), s.dict.Intern(t.O)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.spo.add(t.S, t.P, t.O) {
+	if !s.spo.add(sid, pid, oid) {
 		return false
 	}
-	s.pos.add(t.P, t.O, t.S)
-	s.osp.add(t.O, t.S, t.P)
+	s.pos.add(pid, oid, sid)
+	s.osp.add(oid, sid, pid)
 	s.size++
-	s.predCount[t.P]++
-	if t.P == rdfType {
-		s.classCount[t.O]++
+	s.predCount[pid]++
+	if pid == s.typeID {
+		s.classCount[oid]++
 	}
 	return true
 }
@@ -119,50 +129,49 @@ func (s *Store) AddGraph(g rdf.Graph) int {
 }
 
 // Remove deletes a triple; it reports whether the triple was present.
+// The dictionary never shrinks: ids stay valid even after their last
+// triple is gone.
 func (s *Store) Remove(t rdf.Triple) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.spo.remove(t.S, t.P, t.O) {
+	sid, pid, oid, ok := s.encodePattern(t)
+	if !ok {
 		return false
 	}
-	s.pos.remove(t.P, t.O, t.S)
-	s.osp.remove(t.O, t.S, t.P)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.spo.remove(sid, pid, oid) {
+		return false
+	}
+	s.pos.remove(pid, oid, sid)
+	s.osp.remove(oid, sid, pid)
 	s.size--
 	// Decrement only counters that exist: a stale or duplicated removal
-	// must never leave a negative (or resurrect a zero) entry for a
-	// predicate the store has otherwise never seen.
-	if n, ok := s.predCount[t.P]; ok {
-		if n <= 1 {
-			delete(s.predCount, t.P)
-		} else {
-			s.predCount[t.P] = n - 1
-		}
-	}
-	if t.P == rdfType {
-		if n, ok := s.classCount[t.O]; ok {
-			if n <= 1 {
-				delete(s.classCount, t.O)
-			} else {
-				s.classCount[t.O] = n - 1
-			}
-		}
+	// must never leave a negative (or resurrect a zero) entry.
+	decrement(s.predCount, pid)
+	if pid == s.typeID {
+		decrement(s.classCount, oid)
 	}
 	return true
 }
 
+func decrement(counts map[uint32]int, id uint32) {
+	if n, ok := counts[id]; ok {
+		if n <= 1 {
+			delete(counts, id)
+		} else {
+			counts[id] = n - 1
+		}
+	}
+}
+
 // Has reports whether the exact ground triple is present.
 func (s *Store) Has(t rdf.Triple) bool {
+	sid, pid, oid, ok := s.encodePattern(t)
+	if !ok {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m1, ok := s.spo[t.S]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[t.P]
-	if !ok {
-		return false
-	}
-	_, ok = m2[t.O]
+	_, ok = s.spo[sid][pid][oid]
 	return ok
 }
 
@@ -176,41 +185,25 @@ func (s *Store) Size() int {
 // PredicateCount returns the number of triples with predicate p, used for
 // selectivity-based join ordering.
 func (s *Store) PredicateCount(p rdf.Term) int {
+	pid, ok := s.dict.Lookup(p)
+	if !ok {
+		return 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.predCount[p]
+	return s.predCount[pid]
 }
 
 // ClassCount returns the number of instances of class c (triples of the
 // form ?s rdf:type c).
 func (s *Store) ClassCount(c rdf.Term) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.classCount[c]
-}
-
-// PredicateCounts returns a copy of the per-predicate triple counts,
-// the raw material for synthetic void:propertyPartition statistics.
-func (s *Store) PredicateCounts() map[rdf.Term]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[rdf.Term]int, len(s.predCount))
-	for p, n := range s.predCount {
-		out[p] = n
+	cid, ok := s.dict.Lookup(c)
+	if !ok {
+		return 0
 	}
-	return out
-}
-
-// ClassCounts returns a copy of the per-class instance counts, the raw
-// material for synthetic void:classPartition statistics.
-func (s *Store) ClassCounts() map[rdf.Term]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[rdf.Term]int, len(s.classCount))
-	for c, n := range s.classCount {
-		out[c] = n
-	}
-	return out
+	return s.classCount[cid]
 }
 
 // validData accepts only ground terms and blank nodes (data-level
@@ -230,13 +223,100 @@ func bound(t rdf.Term) bool {
 	return t.Kind != rdf.KindAny && t.Kind != rdf.KindVar
 }
 
+// wildcardID encodes an unbound pattern position.
+const wildcardID = ^uint32(0)
+
+// encodePattern translates a pattern's bound positions to ids. ok is
+// false when some bound position names a term the dictionary has never
+// seen — then nothing can match. Unbound positions encode as wildcardID,
+// which no interned term gets, so Has and Remove find nothing for them.
+func (s *Store) encodePattern(pattern rdf.Triple) (sid, pid, oid uint32, ok bool) {
+	enc := func(t rdf.Term) (uint32, bool) {
+		if !bound(t) {
+			return wildcardID, true
+		}
+		return s.dict.Lookup(t)
+	}
+	if sid, ok = enc(pattern.S); !ok {
+		return
+	}
+	if pid, ok = enc(pattern.P); !ok {
+		return
+	}
+	oid, ok = enc(pattern.O)
+	return
+}
+
+// snapshot appends the packed id triples matching the encoded pattern to
+// out under the read lock. Where an index level or a counter gives the
+// match count up front, out grows once.
+func (s *Store) snapshot(out [][3]uint32, sid, pid, oid uint32) [][3]uint32 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sb, pb, ob := sid != wildcardID, pid != wildcardID, oid != wildcardID
+	switch {
+	case sb && pb && ob:
+		if _, ok := s.spo[sid][pid][oid]; ok {
+			out = append(out, [3]uint32{sid, pid, oid})
+		}
+	case sb && pb:
+		m := s.spo[sid][pid]
+		out = slices.Grow(out, len(m))
+		for o := range m {
+			out = append(out, [3]uint32{sid, pid, o})
+		}
+	case sb && ob:
+		m := s.osp[oid][sid]
+		out = slices.Grow(out, len(m))
+		for p := range m {
+			out = append(out, [3]uint32{sid, p, oid})
+		}
+	case pb && ob:
+		m := s.pos[pid][oid]
+		out = slices.Grow(out, len(m))
+		for sv := range m {
+			out = append(out, [3]uint32{sv, pid, oid})
+		}
+	case sb:
+		for p, m2 := range s.spo[sid] {
+			for o := range m2 {
+				out = append(out, [3]uint32{sid, p, o})
+			}
+		}
+	case pb:
+		out = slices.Grow(out, s.predCount[pid])
+		for o, m2 := range s.pos[pid] {
+			for sv := range m2 {
+				out = append(out, [3]uint32{sv, pid, o})
+			}
+		}
+	case ob:
+		for sv, m2 := range s.osp[oid] {
+			for p := range m2 {
+				out = append(out, [3]uint32{sv, p, oid})
+			}
+		}
+	default:
+		out = slices.Grow(out, s.size)
+		for sv, m1 := range s.spo {
+			for p, m2 := range m1 {
+				for o := range m2 {
+					out = append(out, [3]uint32{sv, p, o})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // Match invokes fn for every stored triple matching the pattern; pattern
 // positions that are variables or the zero Term act as wildcards. fn
 // returning false stops the iteration early.
 //
-// The snapshot of matching triples is collected under the read lock and fn
-// runs outside it, so fn may safely call back into the store (including
-// Add/Remove — mutations do not affect the already-collected snapshot).
+// The matching ids are collected under the store's read lock and decoded
+// under one dictionary read lock; fn runs outside both, so it may safely
+// call back into the store (including Add/Remove — mutations do not
+// affect the already-collected snapshot).
 func (s *Store) Match(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 	for _, t := range s.MatchAll(pattern) {
 		if !fn(t) {
@@ -248,106 +328,48 @@ func (s *Store) Match(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 // MatchAll returns all stored triples matching the pattern. See Match for
 // the wildcard convention.
 func (s *Store) MatchAll(pattern rdf.Triple) []rdf.Triple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.matchAllLocked(pattern)
-}
-
-func (s *Store) matchAllLocked(pattern rdf.Triple) []rdf.Triple {
-	sb, pb, ob := bound(pattern.S), bound(pattern.P), bound(pattern.O)
-	var out []rdf.Triple
-	emit := func(t rdf.Triple) { out = append(out, t) }
-	switch {
-	case sb && pb && ob:
-		if m1, ok := s.spo[pattern.S]; ok {
-			if m2, ok := m1[pattern.P]; ok {
-				if _, ok := m2[pattern.O]; ok {
-					emit(pattern)
-				}
-			}
-		}
-	case sb && pb:
-		if m1, ok := s.spo[pattern.S]; ok {
-			for o := range m1[pattern.P] {
-				emit(rdf.Triple{S: pattern.S, P: pattern.P, O: o})
-			}
-		}
-	case sb && ob:
-		if m1, ok := s.osp[pattern.O]; ok {
-			for p := range m1[pattern.S] {
-				emit(rdf.Triple{S: pattern.S, P: p, O: pattern.O})
-			}
-		}
-	case pb && ob:
-		if m1, ok := s.pos[pattern.P]; ok {
-			for sv := range m1[pattern.O] {
-				emit(rdf.Triple{S: sv, P: pattern.P, O: pattern.O})
-			}
-		}
-	case sb:
-		if m1, ok := s.spo[pattern.S]; ok {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					emit(rdf.Triple{S: pattern.S, P: p, O: o})
-				}
-			}
-		}
-	case pb:
-		if m1, ok := s.pos[pattern.P]; ok {
-			for o, m2 := range m1 {
-				for sv := range m2 {
-					emit(rdf.Triple{S: sv, P: pattern.P, O: o})
-				}
-			}
-		}
-	case ob:
-		if m1, ok := s.osp[pattern.O]; ok {
-			for sv, m2 := range m1 {
-				for p := range m2 {
-					emit(rdf.Triple{S: sv, P: p, O: pattern.O})
-				}
-			}
-		}
-	default:
-		for sv, m1 := range s.spo {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					emit(rdf.Triple{S: sv, P: p, O: o})
-				}
-			}
-		}
+	sid, pid, oid, ok := s.encodePattern(pattern)
+	if !ok {
+		return nil
 	}
-	return out
+	// Small matches (most bound-join probes) snapshot into this stack
+	// buffer, so the decoded triples are their only heap allocation.
+	var buf [16][3]uint32
+	return s.dict.decode(s.snapshot(buf[:0], sid, pid, oid))
 }
 
-// Count returns the number of triples matching the pattern without
-// materialising them all when a cheaper index walk suffices.
+// Count returns the number of triples matching the pattern, using the
+// statistics maps or an index walk where either is cheaper than a scan.
 func (s *Store) Count(pattern rdf.Triple) int {
+	sid, pid, oid, ok := s.encodePattern(pattern)
+	if !ok {
+		return 0
+	}
+	if n, ok := s.indexedCount(sid, pid, oid); ok {
+		return n
+	}
+	return len(s.snapshot(nil, sid, pid, oid))
+}
+
+// indexedCount answers Count from the statistics maps or a single index
+// level; ok is false for the shapes that need a scan.
+func (s *Store) indexedCount(sid, pid, oid uint32) (n int, ok bool) {
+	sb, pb, ob := sid != wildcardID, pid != wildcardID, oid != wildcardID
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sb, pb, ob := bound(pattern.S), bound(pattern.P), bound(pattern.O)
 	switch {
 	case !sb && !pb && !ob:
-		return s.size
+		return s.size, true
 	case pb && !sb && !ob:
-		return s.predCount[pattern.P]
+		return s.predCount[pid], true
 	case sb && pb && !ob:
-		if m1, ok := s.spo[pattern.S]; ok {
-			return len(m1[pattern.P])
-		}
-		return 0
+		return len(s.spo[sid][pid]), true
 	case pb && ob && !sb:
-		if m1, ok := s.pos[pattern.P]; ok {
-			return len(m1[pattern.O])
-		}
-		return 0
+		return len(s.pos[pid][oid]), true
 	case sb && ob && !pb:
-		if m1, ok := s.osp[pattern.O]; ok {
-			return len(m1[pattern.S])
-		}
-		return 0
+		return len(s.osp[oid][sid]), true
 	}
-	return len(s.matchAllLocked(pattern))
+	return 0, false
 }
 
 // Triples returns all triples as a graph in deterministic sorted order.
@@ -367,29 +389,24 @@ func (s *Store) Clone() *Store {
 
 // Subjects returns the distinct subjects of triples matching (any, p, o).
 func (s *Store) Subjects(p, o rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
-	s.Match(rdf.Triple{P: p, O: o}, func(t rdf.Triple) bool {
-		if _, ok := seen[t.S]; !ok {
-			seen[t.S] = struct{}{}
-			out = append(out, t.S)
-		}
-		return true
-	})
-	return out
+	return distinct(s.MatchAll(rdf.Triple{P: p, O: o}), func(t rdf.Triple) rdf.Term { return t.S })
 }
 
 // Objects returns the distinct objects of triples matching (s, p, any).
 func (s *Store) Objects(subj, p rdf.Term) []rdf.Term {
+	return distinct(s.MatchAll(rdf.Triple{S: subj, P: p}), func(t rdf.Triple) rdf.Term { return t.O })
+}
+
+func distinct(ts []rdf.Triple, pick func(rdf.Triple) rdf.Term) []rdf.Term {
 	seen := map[rdf.Term]struct{}{}
 	var out []rdf.Term
-	s.Match(rdf.Triple{S: subj, P: p}, func(t rdf.Triple) bool {
-		if _, ok := seen[t.O]; !ok {
-			seen[t.O] = struct{}{}
-			out = append(out, t.O)
+	for _, t := range ts {
+		x := pick(t)
+		if _, ok := seen[x]; !ok {
+			seen[x] = struct{}{}
+			out = append(out, x)
 		}
-		return true
-	})
+	}
 	return out
 }
 

@@ -277,6 +277,125 @@ func TestMatchAgreesWithNaiveScan(t *testing.T) {
 	}
 }
 
+// Match and Count must agree for every pattern shape, including literal
+// objects, variables as wildcards and never-interned terms.
+func TestMatchCountAgree(t *testing.T) {
+	s := New()
+	for _, x := range []rdf.Triple{
+		tr("s1", "p1", "o1"), tr("s1", "p1", "o2"), tr("s1", "p2", "o1"), tr("s2", "p1", "o1"),
+		{S: iri("s2"), P: iri("p2"), O: rdf.NewLiteral("x")},
+	} {
+		s.Add(x)
+	}
+	v := rdf.NewVar("v")
+	for _, pat := range []rdf.Triple{
+		{}, {S: iri("s1")}, {P: iri("p1")}, {O: iri("o1")}, {O: rdf.NewLiteral("x")},
+		tr("s1", "p1", "o2"),
+		{S: iri("s1"), P: iri("p1"), O: v},
+		{S: iri("s1"), P: v, O: iri("o1")},
+		{S: v, P: iri("p1"), O: iri("o1")},
+		{S: iri("nope")},
+	} {
+		got := s.MatchAll(pat)
+		if n := s.Count(pat); n != len(got) {
+			t.Fatalf("pattern %v: Count = %d, MatchAll returned %d", pat, n, len(got))
+		}
+		for _, x := range got {
+			if !s.Has(x) {
+				t.Fatalf("pattern %v: matched %v, which Has denies", pat, x)
+			}
+		}
+	}
+}
+
+func TestAddRemoveStats(t *testing.T) {
+	s := New()
+	typ := rdf.NewIRI(rdf.RDFType)
+	person := iri("Person")
+	t1 := rdf.Triple{S: iri("a"), P: typ, O: person}
+	t2 := rdf.Triple{S: iri("b"), P: typ, O: person}
+	if !s.Add(t1) || !s.Add(t2) {
+		t.Fatal("Add returned false for fresh triples")
+	}
+	if s.Add(t1) {
+		t.Fatal("duplicate Add returned true")
+	}
+	if got := s.ClassCount(person); got != 2 {
+		t.Fatalf("ClassCount = %d, want 2", got)
+	}
+	if got := s.PredicateCount(typ); got != 2 {
+		t.Fatalf("PredicateCount = %d, want 2", got)
+	}
+	if !s.Remove(t1) {
+		t.Fatal("Remove returned false for present triple")
+	}
+	if s.Remove(t1) {
+		t.Fatal("double Remove returned true")
+	}
+	if got := s.ClassCount(person); got != 1 {
+		t.Fatalf("ClassCount after remove = %d, want 1", got)
+	}
+	if s.Remove(tr("x", "y", "z")) {
+		t.Fatal("Remove of never-seen triple returned true")
+	}
+	if s.Size() != 1 || !s.Has(t2) || s.Has(t1) {
+		t.Fatal("Size/Has disagree with Add/Remove history")
+	}
+}
+
+// The callback runs on a snapshot outside every lock: it may stop early
+// and may write to the store without deadlocking or seeing its own
+// writes. Re-adding removed triples reuses their dictionary ids.
+func TestMatchSnapshotAllowsMutation(t *testing.T) {
+	s := New()
+	for i := 0; i < 3; i++ {
+		s.Add(tr("s", "p", fmt.Sprint("o", i)))
+	}
+	n := 0
+	s.Match(rdf.Triple{}, func(x rdf.Triple) bool {
+		n++
+		s.Add(tr("s", "q", fmt.Sprint("n", n)))
+		return n < 2
+	})
+	if n != 2 || s.Size() != 5 {
+		t.Fatalf("early break visited %d, size %d; want 2, 5", n, s.Size())
+	}
+	dictLen := s.dict.Len()
+	for _, x := range s.MatchAll(rdf.Triple{}) {
+		s.Remove(x)
+	}
+	if s.Size() != 0 || len(s.predCount) != 0 {
+		t.Fatalf("removing everything left size %d, counters %v", s.Size(), s.predCount)
+	}
+	s.Add(tr("s", "p", "o0"))
+	if s.dict.Len() != dictLen {
+		t.Fatalf("refill grew the dictionary: %d -> %d", dictLen, s.dict.Len())
+	}
+}
+
+func TestStoreClassCounts(t *testing.T) {
+	s := New()
+	typ := rdf.NewIRI(rdf.RDFType)
+	paper := iri("Paper")
+	t1 := rdf.Triple{S: iri("p1"), P: typ, O: paper}
+	s.Add(t1)
+	if got := s.ClassCount(paper); got != 1 {
+		t.Fatalf("ClassCount = %d, want 1", got)
+	}
+	// Removing a never-present triple must not disturb the counters.
+	s.Remove(rdf.Triple{S: iri("p2"), P: typ, O: paper})
+	if got := s.ClassCount(paper); got != 1 {
+		t.Fatalf("ClassCount after no-op remove = %d, want 1", got)
+	}
+	s.Remove(t1)
+	if got := s.ClassCount(paper); got != 0 {
+		t.Fatalf("ClassCount after remove = %d, want 0", got)
+	}
+	if got := len(s.classCount); got != 0 {
+		t.Fatalf("class counters kept %d zero entries", got)
+	}
+}
+
 func BenchmarkAddTriples(b *testing.B) {
 	b.ReportAllocs()
 	s := New()

@@ -1,12 +1,12 @@
 // Package view implements the mediator's materialized-view tier: it
 // mines frequent cross-vocabulary join shapes from the decomposed query
 // stream, materializes their sameAs-canonicalised federated answer into
-// an embedded dictionary-encoded store, serves that store behind the
-// in-process local:// endpoint scheme, and answers later queries with a
-// matching basic graph pattern straight from the view — zero endpoint
-// round trips. This is the complement the paper's rewrite-vs-materialise
-// experiment measures: rewriting trades freshness work at query time,
-// the view trades it at refresh time.
+// an embedded triple store, and answers later queries with a matching
+// basic graph pattern by evaluating them on that store in place — zero
+// endpoint round trips and no protocol encoding. This is the complement
+// the paper's rewrite-vs-materialise experiment measures: rewriting
+// trades freshness work at query time, the view trades it at refresh
+// time.
 //
 // Soundness: a query is answered from a view only when its flattened BGP
 // is identical to the view's covered shape modulo variable renaming,
@@ -23,7 +23,6 @@ package view
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,13 +30,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparqlrw/internal/endpoint"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/rdf"
 	"sparqlrw/internal/sparql"
 	"sparqlrw/internal/store"
-	"sparqlrw/internal/voidkb"
 )
 
 // Options configures a Manager. The struct is comparable so callers can
@@ -99,10 +96,6 @@ type MaterializeResult struct {
 // materializeTimeout bounds one view build.
 const materializeTimeout = 30 * time.Second
 
-// viewSeq makes local endpoint names unique across managers in one
-// process (tests boot several mediators).
-var viewSeq atomic.Uint64
-
 // shape is a mined-but-not-yet-materialized join shape.
 type shape struct {
 	sig string
@@ -127,22 +120,18 @@ type shape struct {
 // store currently answering it. All mutable fields are guarded by the
 // owning Manager's mutex.
 type View struct {
-	id           string
-	def          *shape
-	store        *store.DictStore
-	endpointName string
-	stale        bool
-	epoch        uint64
-	created      time.Time
-	refreshed    time.Time
-	hits         uint64
+	id        string
+	def       *shape
+	store     *store.Store
+	stale     bool
+	epoch     uint64
+	created   time.Time
+	refreshed time.Time
+	hits      uint64
 }
 
 // ID returns the view's identifier (v1, v2, ...).
 func (v *View) ID() string { return v.id }
-
-// Endpoint returns the view's in-process endpoint URL.
-func (v *View) Endpoint() string { return endpoint.LocalURL(v.endpointName) }
 
 // Datasets returns the source data sets the view joins over.
 func (v *View) Datasets() []string { return v.def.datasets }
@@ -211,8 +200,8 @@ func NewManager(runner Runner, funcs eval.FuncResolver, opts Options) *Manager {
 	return m
 }
 
-// Close stops the refresh loop, cancels in-flight builds and
-// unregisters every view's local endpoint.
+// Close stops the refresh loop, cancels in-flight builds and drops
+// every view.
 func (m *Manager) Close() {
 	if m == nil {
 		return
@@ -221,7 +210,7 @@ func (m *Manager) Close() {
 		// Flip closed under the same mutex Observe holds for its wg.Add:
 		// once set, no new materialize goroutine can be added, so the
 		// Wait below never races an Add at counter zero (WaitGroup misuse)
-		// and no late build can re-register an endpoint we unregister.
+		// and no late build can publish a view after the reset below.
 		m.mu.Lock()
 		m.closed = true
 		m.mu.Unlock()
@@ -229,9 +218,6 @@ func (m *Manager) Close() {
 		m.wg.Wait()
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, v := range m.views {
-			endpoint.UnregisterLocal(v.endpointName)
-		}
 		m.views = map[string]*View{}
 		m.shapes = map[string]*shape{}
 		m.order = nil
@@ -373,34 +359,40 @@ func canonGround(t rdf.Term, canon func(rdf.Term) rdf.Term) rdf.Term {
 	return canon(t)
 }
 
-// Answer reports whether a ready, fresh view covers the query's BGP.
-// canon maps ground IRIs to their sameAs representatives (query-side
-// spelling differences must not defeat the signature match). The caller
-// evaluates the (canonicalised) query against the returned view's
-// endpoint. A match is not yet a hit: the caller confirms it with
-// CountHit once the view stream actually opens (or CountMiss if opening
-// fails and the query falls back to federation), so
-// sparqlrw_view_hits_total counts served answers, not mere matches.
-// Misses are counted here — nothing can still go right after one.
-// Nil-manager safe.
-func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term) (*View, bool) {
+// Answer reports whether a ready, fresh view covers the query's BGP and,
+// on a hit, returns an engine over the view's store. canon maps ground
+// IRIs to their sameAs representatives (query-side spelling differences
+// must not defeat the signature match). The caller evaluates the
+// (canonicalised) query with the returned engine. The store is captured
+// under the manager lock, so a concurrent refresh publishing a new store
+// cannot swap it mid-answer; the old store is never written again.
+//
+// A match is not yet a hit: the caller confirms it with CountHit once
+// evaluation actually starts (or CountMiss if it fails and the query
+// falls back to federation), so sparqlrw_view_hits_total counts served
+// answers, not mere matches. Misses are counted here — nothing can still
+// go right after one. Nil-manager safe.
+func (m *Manager) Answer(q *sparql.Query, canon func(rdf.Term) rdf.Term) (*View, *eval.Engine, bool) {
 	if m == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	patterns, ok := flatten(q)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	sig := signature(canonPatterns(patterns, canon))
 	m.mu.Lock()
 	v := m.views[sig]
-	hit := v != nil && !v.stale
-	m.mu.Unlock()
-	if !hit {
-		m.metrics.misses.Inc()
-		return nil, false
+	var e *eval.Engine
+	if v != nil && !v.stale {
+		e = &eval.Engine{Store: v.store, Funcs: m.funcs}
 	}
-	return v, true
+	m.mu.Unlock()
+	if e == nil {
+		m.metrics.misses.Inc()
+		return nil, nil, false
+	}
+	return v, e, true
 }
 
 // CountHit records a query actually served from v. Nil-manager safe.
@@ -415,7 +407,7 @@ func (m *Manager) CountHit(v *View) {
 }
 
 // CountMiss records a query that matched a view but could not be served
-// from it (the local stream failed to open) and fell back to
+// from it (evaluation failed to start) and fell back to
 // federation. Nil-manager safe.
 func (m *Manager) CountMiss() {
 	if m == nil {
@@ -533,12 +525,12 @@ func materializeQuery(sh *shape) string {
 }
 
 // build runs the shape's covering query through the federated pipeline
-// and loads the answer into a fresh dictionary store, instantiating the
+// and loads the answer into a fresh store, instantiating the
 // given canonicalised templates. templates is an explicit parameter —
 // not read from sh — because a refresh recomputes the canonical shape
 // and must instantiate with the same templates the view will be keyed
 // under, not whatever sh held when the build started.
-func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.DictStore, error) {
+func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.Store, error) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, materializeTimeout)
 	defer cancel()
 	res, err := m.runner.Materialize(ctx, materializeQuery(sh), sh.sourceOnt)
@@ -548,7 +540,7 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.DictStore, er
 	if !res.Complete {
 		return nil, errors.New("view: partial federated answer (some data set failed)")
 	}
-	st := store.NewDictStore()
+	st := store.New()
 	for i, sol := range res.Solutions {
 		suffix := "_v" + strconv.Itoa(i)
 		for _, tpl := range templates {
@@ -563,8 +555,7 @@ func (m *Manager) build(sh *shape, templates []rdf.Triple) (*store.DictStore, er
 	return st, nil
 }
 
-// materialize builds a mined shape into a view and publishes it behind a
-// local:// endpoint. A build that raced an invalidation is discarded:
+// materialize builds a mined shape into a view and publishes it. A build that raced an invalidation is discarded:
 // the data may predate the KB change.
 func (m *Manager) materialize(sh *shape) {
 	e0 := m.epoch.Load()
@@ -588,28 +579,16 @@ func (m *Manager) materialize(sh *shape) {
 	}
 	m.nextID++
 	v := &View{
-		id:           "v" + strconv.Itoa(m.nextID),
-		def:          sh,
-		store:        st,
-		endpointName: fmt.Sprintf("view-%d-v%d", viewSeq.Add(1), m.nextID),
-		epoch:        e0,
-		created:      time.Now(),
-		refreshed:    time.Now(),
+		id:        "v" + strconv.Itoa(m.nextID),
+		def:       sh,
+		store:     st,
+		epoch:     e0,
+		created:   time.Now(),
+		refreshed: time.Now(),
 	}
-	m.register(v)
 	delete(m.shapes, sh.sig)
 	m.views[sh.sig] = v
 	m.order = append(m.order, sh.sig)
-}
-
-// register (re-)publishes the view's store behind its local endpoint;
-// callers hold the manager lock. In-flight streams against a replaced
-// server keep reading their old store snapshot, which is immutable from
-// their perspective.
-func (m *Manager) register(v *View) {
-	srv := endpoint.NewServer(v.endpointName, v.store)
-	srv.Engine.Funcs = m.funcs
-	endpoint.RegisterLocal(v.endpointName, srv)
 }
 
 // InvalidateDataset marks every view sourcing the data set stale and
@@ -747,7 +726,6 @@ func (m *Manager) refreshView(v *View) {
 		v.stale = false
 		v.epoch = e0
 		v.refreshed = time.Now()
-		m.register(v)
 		m.mu.Unlock()
 		m.metrics.refreshes.Inc()
 		return
@@ -761,23 +739,12 @@ type Info struct {
 	Signature string    `json:"signature"`
 	SourceOnt string    `json:"source"`
 	Datasets  []string  `json:"datasets"`
-	Endpoint  string    `json:"endpoint"`
 	State     string    `json:"state"` // ready | stale
 	Triples   int       `json:"triples"`
 	Hits      uint64    `json:"hits"`
 	Epoch     uint64    `json:"epoch"`
 	Created   time.Time `json:"created"`
 	Refreshed time.Time `json:"refreshed"`
-	// Void is the view store's synthetic voiD description: triple count
-	// and property/class partitions, like a real endpoint publishes.
-	Void VoidStats `json:"void"`
-}
-
-// VoidStats is the synthetic voiD statistics block of one view store.
-type VoidStats struct {
-	Triples            int              `json:"triples"`
-	PropertyPartitions map[string]int64 `json:"propertyPartitions,omitempty"`
-	ClassPartitions    map[string]int64 `json:"classPartitions,omitempty"`
 }
 
 // Stats is the view tier's observability snapshot.
@@ -825,56 +792,14 @@ func (m *Manager) Stats() Stats {
 			Signature: v.def.sig,
 			SourceOnt: v.def.sourceOnt,
 			Datasets:  append([]string(nil), v.def.datasets...),
-			Endpoint:  v.Endpoint(),
 			State:     state,
 			Triples:   v.store.Size(),
 			Hits:      v.hits,
 			Epoch:     v.epoch,
 			Created:   v.created,
 			Refreshed: v.refreshed,
-			Void:      voidStatsOf(v.store),
 		})
 	}
 	st.MinedShapes = len(m.shapes)
 	return st
-}
-
-// SyntheticDataset describes a view's embedded store as a voiD data set
-// — triple count, void:propertyPartition and void:classPartition derived
-// from the dictionary store's live statistics — so the view endpoint
-// presents the same statistical surface a real federated endpoint
-// publishes in its voiD description.
-func SyntheticDataset(uri, title string, st *store.DictStore, endpointURL string) *voidkb.Dataset {
-	ds := &voidkb.Dataset{
-		URI:            uri,
-		Title:          title,
-		SPARQLEndpoint: endpointURL,
-		Triples:        int64(st.Size()),
-	}
-	vs := voidStatsOf(st)
-	ds.PropertyPartitions = vs.PropertyPartitions
-	ds.ClassPartitions = vs.ClassPartitions
-	return ds
-}
-
-// Void returns the view's synthetic voiD description.
-func (v *View) Void() *voidkb.Dataset {
-	return SyntheticDataset("view:"+v.id, "materialized view "+v.id, v.store, v.Endpoint())
-}
-
-func voidStatsOf(st *store.DictStore) VoidStats {
-	vs := VoidStats{Triples: st.Size()}
-	if pc := st.PredicateCounts(); len(pc) > 0 {
-		vs.PropertyPartitions = make(map[string]int64, len(pc))
-		for p, n := range pc {
-			vs.PropertyPartitions[p.Value] = int64(n)
-		}
-	}
-	if cc := st.ClassCounts(); len(cc) > 0 {
-		vs.ClassPartitions = make(map[string]int64, len(cc))
-		for c, n := range cc {
-			vs.ClassPartitions[c.Value] = int64(n)
-		}
-	}
-	return vs
 }

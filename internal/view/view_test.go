@@ -3,7 +3,6 @@ package view
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,7 +136,7 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	if r.callCount() != 0 {
 		t.Fatal("materialized before MinFrequency")
 	}
-	if _, hit := m.Answer(q, nil); hit {
+	if _, _, hit := m.Answer(q, nil); hit {
 		t.Fatal("Answer hit before any view exists")
 	}
 	m.Observe(q, "http://src/", datasets, 10, nil)
@@ -154,23 +153,21 @@ func TestObserveMaterializesAtMinFrequency(t *testing.T) {
 	if len(v.Datasets) != 2 {
 		t.Fatalf("view datasets = %v", v.Datasets)
 	}
-	if v.Void.Triples != 6 || len(v.Void.PropertyPartitions) != 2 {
-		t.Fatalf("synthetic voiD stats = %+v", v.Void)
-	}
-	if !strings.HasPrefix(v.Endpoint, "local://") {
-		t.Fatalf("view endpoint = %q", v.Endpoint)
-	}
 
-	// A renamed spelling of the same shape hits.
+	// A renamed spelling of the same shape hits, and the returned engine
+	// answers it from the view's store.
 	q2 := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?x ?y WHERE { ?x m:citationCount ?y . ?x akt:has-author ?w }`)
-	hv, hit := m.Answer(q2, nil)
+	hv, engine, hit := m.Answer(q2, nil)
 	if !hit {
 		t.Fatal("renamed query missed the view")
 	}
 	if hv.ID() != v.ID {
 		t.Fatalf("hit view %s, want %s", hv.ID(), v.ID)
+	}
+	if res, err := engine.Select(q2); err != nil || len(res.Solutions) != 3 {
+		t.Fatalf("view engine answered %v rows (err %v), want 3", res, err)
 	}
 	// A match is not yet a hit: the serving layer confirms it only once
 	// the view stream opens (CountHit) or records the fallback (CountMiss).
@@ -246,7 +243,7 @@ func TestInvalidateDatasetRefreshesView(t *testing.T) {
 		st := m.Stats()
 		return st.Refreshes >= 1 && st.Views[0].State == "ready" && r.callCount() > before
 	})
-	if _, hit := m.Answer(q, nil); !hit {
+	if _, _, hit := m.Answer(q, nil); !hit {
 		t.Fatal("refreshed view does not answer")
 	}
 }
@@ -272,7 +269,7 @@ func TestNilManagerIsSafe(t *testing.T) {
 	m.InvalidateAll()
 	m.InvalidateDataset("x")
 	m.Observe(nil, "", nil, 0, nil)
-	if _, hit := m.Answer(nil, nil); hit {
+	if _, _, hit := m.Answer(nil, nil); hit {
 		t.Fatal("nil manager answered")
 	}
 	if st := m.Stats(); len(st.Views) != 0 {
@@ -324,10 +321,13 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
 
 	hasAuthor := rdf.NewIRI("http://www.aktors.org/ontology/portal#has-author")
-	objCount := func(v *View, obj string) int {
-		return v.store.Count(rdf.Triple{S: rdf.NewVar("x"), P: hasAuthor, O: rdf.NewIRI(obj)})
+	objCount := func(e *eval.Engine, obj string) int {
+		n := 0
+		e.Store.Match(rdf.Triple{S: rdf.NewVar("x"), P: hasAuthor, O: rdf.NewIRI(obj)},
+			func(rdf.Triple) bool { n++; return true })
+		return n
 	}
-	v1, hit := m.Answer(qa, r.term)
+	_, v1, hit := m.Answer(qa, r.term)
 	if !hit {
 		t.Fatal("fresh view missed")
 	}
@@ -344,7 +344,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 		st := m.Stats()
 		return st.Refreshes >= 1 && len(st.Views) == 1 && st.Views[0].State == "ready"
 	})
-	v2, hit := m.Answer(qa, r.term)
+	_, v2, hit := m.Answer(qa, r.term)
 	if !hit {
 		t.Fatal("refreshed view missed under the new canonicalisation")
 	}
@@ -358,7 +358,7 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 
 // TestObserveAfterCloseIsNoop guards the Close/Observe race: once Close
 // has begun, Observe must not wg.Add (WaitGroup misuse) nor spawn a
-// build that could re-register an endpoint after UnregisterLocal.
+// build that could publish a view after Close dropped them all.
 func TestObserveAfterCloseIsNoop(t *testing.T) {
 	r := &fakeRunner{solutions: crossSolutions(1), complete: true}
 	m := NewManager(r, nil, Options{MinFrequency: 1})
@@ -391,10 +391,60 @@ SELECT ?p ?c WHERE { ?p akt:has-author <http://a.example/id/alice> . ?p m:citati
 	qb := mustParse(t, `PREFIX akt:<http://www.aktors.org/ontology/portal#>
 PREFIX m:<http://metrics.example/ontology#>
 SELECT ?p ?c WHERE { ?p akt:has-author <http://mirror.example/id/alice> . ?p m:citationCount ?c }`)
-	if _, hit := m.Answer(qb, canon); !hit {
+	if _, _, hit := m.Answer(qb, canon); !hit {
 		t.Fatal("sameAs-equivalent spelling missed the view")
 	}
-	if _, hit := m.Answer(qb, nil); hit {
+	if _, _, hit := m.Answer(qb, nil); hit {
 		t.Fatal("uncanonicalised spelling hit the view (unsound match)")
 	}
+}
+
+// TestAnswerDuringRefreshSwaps hammers Answer plus evaluation while the
+// refresh loop keeps swapping each view's store. Under -race this proves
+// the engine Answer returns reads a store no refresh writes to; every
+// answer must see a whole materialization, never a half-filled store.
+func TestAnswerDuringRefreshSwaps(t *testing.T) {
+	const rows = 20
+	r := &fakeRunner{solutions: crossSolutions(rows), complete: true}
+	m := NewManager(r, nil, Options{MinFrequency: 1})
+	defer m.Close()
+	q := mustParse(t, crossQuery)
+	m.Observe(q, "http://src/", []string{"http://e/ds1"}, rows, nil)
+	waitFor(t, "view to materialize", func() bool { return len(m.Stats().Views) == 1 })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, engine, hit := m.Answer(q, nil)
+				if !hit {
+					continue // stale between invalidation and refresh
+				}
+				res, err := engine.Select(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Solutions) != rows {
+					t.Errorf("answer saw %d rows mid-refresh, want %d", len(res.Solutions), rows)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		m.InvalidateDataset("http://e/ds1")
+		time.Sleep(time.Millisecond)
+	}
+	waitFor(t, "refreshes", func() bool { return m.Stats().Refreshes > 0 })
+	close(stop)
+	wg.Wait()
 }
