@@ -18,10 +18,12 @@ vet:
 # the per-subsystem Configure*/Stats methods and the ad-hoc /api/query
 # route; the one-store change deleted the second triple store
 # (DictStore), the in-process local:// endpoint transport and the
-# synthetic view voiD. This guard keeps them deleted: any Go file
+# synthetic view voiD; the one-canonicaliser change deleted the merge's
+# and the graph streams' private sameAs representative caches
+# (RepCache, corefCanon). This guard keeps them deleted: any Go file
 # reintroducing one of the identifiers fails the build (and CI runs it
 # on every push).
-DEPRECATED_IDENTIFIERS = 'FederatedSelect|ConfigureFederation\(|ConfigurePlanner\(|ConfigureDecomposer\(|FederationStats\(\)|DecomposerStats\(\)|/api/query|DictStore|RegisterLocal|local://|SyntheticDataset'
+DEPRECATED_IDENTIFIERS = 'FederatedSelect|ConfigureFederation\(|ConfigurePlanner\(|ConfigureDecomposer\(|FederationStats\(\)|DecomposerStats\(\)|/api/query|DictStore|RegisterLocal|local://|SyntheticDataset|RepCache|NewRepCache|corefCanon'
 
 check-deprecated:
 	@matches=$$(grep -rnE $(DEPRECATED_IDENTIFIERS) --include='*.go' . || true); \
@@ -50,7 +52,8 @@ bench-smoke:
 	@$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./... >bench-smoke.out 2>&1 || \
 		{ cat bench-smoke.out; rm -f bench-smoke.out; exit 1; }
 	@for b in BenchmarkViewVsFederated/Federated BenchmarkViewVsFederated/View \
-			BenchmarkE9_CorefLookup/MergeRep/DictInterned; do \
+			BenchmarkE9_CorefLookup/MergeRep/StoreCanonical \
+			BenchmarkE9_CorefLookup/MergeRep/ClientMemo; do \
 		grep -q "$$b" bench-smoke.out || \
 			{ echo "bench-smoke: $$b missing from the sweep" >&2; rm -f bench-smoke.out; exit 1; }; \
 	done

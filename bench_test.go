@@ -530,12 +530,12 @@ SELECT DISTINCT ?a WHERE {
 
 // BenchmarkE9_CorefLookup — E9: equivalence-class lookup with the 200+
 // member class the paper reports for one person. MapSameAs measures the
-// rewrite-side function call; the MergeRep sub-benchmarks compare three
-// generations of the federated merge's per-binding representative lookup
-// — re-derive from the coref store each time, memoise the representative
-// string and rebuild the term per binding, and the current dictionary-
-// interned cache that returns the ready-made term (zero allocations on
-// the hot path).
+// rewrite-side function call; the MergeRep sub-benchmarks measure the
+// federated merge's per-binding representative lookup, funcs.CanonicalTerm,
+// over the two co-reference sources: the in-process store (a map read
+// under a read lock) and a coref.Client whose memo holds the class, served
+// by an httptest co-reference service. ClientMemo's body asserts that its
+// loop makes no service request.
 func BenchmarkE9_CorefLookup(b *testing.B) {
 	cs := coref.NewStore()
 	hub := "http://southampton.rkbexplorer.com/id/person-02686"
@@ -561,50 +561,38 @@ func BenchmarkE9_CorefLookup(b *testing.B) {
 		}
 	})
 	var sink rdf.Term
-	b.Run("MergeRep/Recompute", func(b *testing.B) {
+	b.Run("MergeRep/StoreCanonical", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := members[i%len(members)]
-			r := t.Value
-			for _, eq := range cs.Equivalents(t.Value) {
-				if eq < r {
-					r = eq
-				}
-			}
-			sink = t
-			if r != t.Value {
-				sink = rdf.NewIRI(r)
-			}
+			sink = funcs.CanonicalTerm(cs, members[i%len(members)])
 		}
 	})
-	b.Run("MergeRep/StringMemo", func(b *testing.B) {
-		reps := make(map[string]string)
+	b.Run("MergeRep/ClientMemo", func(b *testing.B) {
+		var requests atomic.Int64
+		h := coref.Handler(cs)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			h.ServeHTTP(w, r)
+		}))
+		defer srv.Close()
+		c := coref.NewClient(srv.URL)
+		defer c.Close()
+		want := cs.Canonical(hub)
+		if got := c.Canonical(hub); got != want { // one fetch fills the whole class
+			b.Fatalf("client canonical = %s, want %s", got, want)
+		}
+		warm := requests.Load()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t := members[i%len(members)]
-			r, ok := reps[t.Value]
-			if !ok {
-				r = t.Value
-				for _, eq := range cs.Equivalents(t.Value) {
-					if eq < r {
-						r = eq
-					}
-				}
-				reps[t.Value] = r
-			}
-			sink = t
-			if r != t.Value {
-				sink = rdf.NewIRI(r)
-			}
+			sink = funcs.CanonicalTerm(c, members[i%len(members)])
 		}
-	})
-	b.Run("MergeRep/DictInterned", func(b *testing.B) {
-		rc := federate.NewRepCache(cs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sink = rc.Term(members[i%len(members)])
+		b.StopTimer()
+		if n := requests.Load() - warm; n != 0 {
+			b.Fatalf("memo hits made %d service requests, want 0", n)
+		}
+		if sink.Value != want {
+			b.Fatalf("representative = %s, want %s", sink.Value, want)
 		}
 	})
 	_ = sink

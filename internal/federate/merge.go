@@ -3,8 +3,6 @@ package federate
 import (
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/funcs"
-	"sparqlrw/internal/rdf"
-	"sparqlrw/internal/store"
 )
 
 // merger is the streaming merge stage: workers feed raw solutions in,
@@ -12,13 +10,12 @@ import (
 // representative of its owl:sameAs class, drops duplicates, and emits
 // each first occurrence downstream immediately — whole endpoints are
 // never buffered. One merger serves one federated run; it is driven by a
-// single goroutine, so the per-run memo maps need no locking.
+// single goroutine, so the seen set needs no locking.
 type merger struct {
 	coref funcs.CorefSource
 	// emit receives each canonical, first-seen solution; returning false
 	// stops the merge (the downstream consumer is gone).
 	emit       func(eval.Solution) bool
-	reps       *RepCache
 	seen       map[string]bool
 	duplicates int
 }
@@ -27,7 +24,6 @@ func newMerger(coref funcs.CorefSource, emit func(eval.Solution) bool) *merger {
 	return &merger{
 		coref: coref,
 		emit:  emit,
-		reps:  NewRepCache(coref),
 		seen:  make(map[string]bool),
 	}
 }
@@ -61,57 +57,7 @@ func (m *merger) add(sol eval.Solution) bool {
 func (m *merger) canonicalise(sol eval.Solution) eval.Solution {
 	out := make(eval.Solution, len(sol))
 	for k, v := range sol {
-		if v.IsIRI() && m.coref != nil {
-			v = m.reps.Term(v)
-		}
-		out[k] = v
+		out[k] = funcs.CanonicalTerm(m.coref, v)
 	}
 	return out
-}
-
-// RepCache memoises owl:sameAs class representatives behind a term
-// dictionary: each distinct IRI is interned once and its canonical term
-// cached under the uint32 id, so the per-binding hot path is an integer
-// map probe returning a ready-made term — no string-keyed probe, no
-// representative re-derivation, no term re-construction. Not safe for
-// concurrent use; one cache serves one merge run.
-type RepCache struct {
-	coref funcs.CorefSource
-	dict  *store.Dict
-	reps  map[uint32]rdf.Term
-}
-
-// NewRepCache builds an empty representative cache over its own term
-// dictionary.
-func NewRepCache(coref funcs.CorefSource) *RepCache {
-	return &RepCache{
-		coref: coref,
-		dict:  store.NewDict(),
-		reps:  make(map[uint32]rdf.Term),
-	}
-}
-
-// Term returns the deterministic (lexicographically smallest) member of
-// the IRI term's equivalence class; non-IRI terms pass through. Each
-// distinct IRI costs one coref lookup per cache lifetime.
-func (c *RepCache) Term(t rdf.Term) rdf.Term {
-	if c.coref == nil || !t.IsIRI() {
-		return t
-	}
-	id := c.dict.Intern(t)
-	if rep, ok := c.reps[id]; ok {
-		return rep
-	}
-	r := t.Value
-	for _, eq := range c.coref.Equivalents(t.Value) {
-		if eq < r {
-			r = eq
-		}
-	}
-	rep := t
-	if r != t.Value {
-		rep = rdf.NewIRI(r)
-	}
-	c.reps[id] = rep
-	return rep
 }

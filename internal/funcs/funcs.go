@@ -92,7 +92,27 @@ func (r *Registry) Resolver() func(iri string) (func([]rdf.Term) (rdf.Term, erro
 // CorefSource supplies owl:sameAs equivalence classes; both coref.Store
 // and coref.Client satisfy it.
 type CorefSource interface {
+	// Equivalents returns uri's class (uri included), sorted. The slice
+	// is shared and must not be modified.
 	Equivalents(uri string) []string
+	// Canonical returns the class representative every merge, cache key
+	// and view canonicalises to.
+	Canonical(uri string) string
+	// Subscribe registers fn to be called when classes may have changed;
+	// cancel removes it.
+	Subscribe(fn func()) (cancel func())
+}
+
+// CanonicalTerm maps an IRI term to its owl:sameAs class representative;
+// other terms, and every term when src is nil, pass through.
+func CanonicalTerm(src CorefSource, t rdf.Term) rdf.Term {
+	if src == nil || !t.IsIRI() {
+		return t
+	}
+	if rep := src.Canonical(t.Value); rep != t.Value {
+		return rdf.NewIRI(rep)
+	}
+	return t
 }
 
 // regexCache avoids recompiling the URI-space patterns that appear in

@@ -8,6 +8,7 @@ package mediate
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -102,9 +103,21 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 	m.Configure(opts...)
 	// Cache invalidation hooks: a changed voiD entry drops that data
 	// set's cached rewrite plans and cached federated results, a changed
-	// alignment KB flushes both caches entirely — no wholesale executor
-	// rebuild needed. Both caches version their epochs, so fills that
-	// were in flight across an invalidation are silently discarded.
+	// alignment KB or owl:sameAs closure flushes both caches entirely —
+	// no wholesale executor rebuild needed. Both caches version their
+	// epochs, so fills that were in flight across an invalidation are
+	// silently discarded.
+	invalidateAll := func() {
+		m.Exec.FlushPlans()
+		if m.Serve != nil {
+			m.Serve.Flush()
+		}
+		m.Obs.Cards.Flush()
+		// An alignment or sameAs change can move any rewriting or
+		// canonical IRI, so every view's materialized answer is suspect:
+		// all stale, refresh queued.
+		m.Views.InvalidateAll()
+	}
 	m.unsubscribe = []func(){
 		datasets.Subscribe(func(uri string) {
 			m.Exec.InvalidateDataset(uri)
@@ -122,26 +135,22 @@ func New(datasets *voidkb.KB, alignments *align.KB, corefSrc funcs.CorefSource, 
 				m.Obs.Health.Ensure(ds.SPARQLEndpoint)
 			}
 		}),
-		alignments.Subscribe(func() {
-			m.Exec.FlushPlans()
-			if m.Serve != nil {
-				m.Serve.Flush()
-			}
-			m.Obs.Cards.Flush()
-			// An alignment change can move any rewriting, so every view's
-			// materialized answer is suspect: all stale, refresh queued.
-			m.Views.InvalidateAll()
-		}),
+		alignments.Subscribe(invalidateAll),
+	}
+	if corefSrc != nil {
+		m.unsubscribe = append(m.unsubscribe, corefSrc.Subscribe(invalidateAll))
 	}
 	return m
 }
 
-// Close detaches the mediator's KB subscriptions, stops the background
-// health probes and closes the observer (flushing any pending OTLP spans
-// and the flight recorder). Call it when the mediator is discarded but
-// the knowledge bases live on (e.g. a config reload rebuilding the
-// mediator over shared KBs); otherwise the KBs keep the mediator —
-// executor, caches and all — reachable forever.
+// Close detaches the mediator's KB and co-reference subscriptions, stops
+// the background health probes, closes a co-reference source that has a
+// Close method (a coref.Client: its in-flight lookups are cancelled) and
+// closes the observer (flushing any pending OTLP spans and the flight
+// recorder). Call it when the mediator is discarded but the knowledge
+// bases live on (e.g. a config reload rebuilding the mediator over shared
+// KBs); otherwise the KBs keep the mediator — executor, caches and all —
+// reachable forever.
 func (m *Mediator) Close() {
 	for _, cancel := range m.unsubscribe {
 		cancel()
@@ -151,6 +160,9 @@ func (m *Mediator) Close() {
 		m.stopProbes()
 		m.stopProbes = nil
 	}
+	if c, ok := m.Coref.(io.Closer); ok {
+		_ = c.Close() // coref.Client.Close only cancels; it cannot fail
+	}
 	m.Views.Close()
 	m.Obs.Close()
 }
@@ -158,9 +170,11 @@ func (m *Mediator) Close() {
 // StartHealthProbes begins background liveness probing: every interval,
 // an `ASK { ?s ?p ?o }` is issued to each registered data set endpoint
 // and its outcome recorded in the health model, so /api/health scores
-// stay current for endpoints receiving no query traffic. The returned
-// stop function (also invoked by Close) ends probing; starting again
-// replaces the previous prober.
+// stay current for endpoints receiving no query traffic. A remote
+// co-reference service is revalidated on the same tick, so a changed
+// sameAs closure is noticed even while every lookup hits the memo. The
+// returned stop function (also invoked by Close) ends probing; starting
+// again replaces the previous prober.
 func (m *Mediator) StartHealthProbes(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		return func() {}
@@ -193,9 +207,23 @@ func (m *Mediator) StartHealthProbes(interval time.Duration) (stop func()) {
 // healthProbeTimeout bounds one liveness ASK.
 const healthProbeTimeout = 5 * time.Second
 
-// probeEndpoints issues one liveness ASK to every distinct registered
-// endpoint, recording latency and outcome as probe samples.
+// corefRevalidator is a co-reference source that can check its own
+// freshness against the service behind it (coref.Client).
+type corefRevalidator interface {
+	Revalidate(ctx context.Context) error
+}
+
+// probeEndpoints revalidates a remote co-reference source and issues one
+// liveness ASK to every distinct registered endpoint, recording latency
+// and outcome as probe samples.
 func (m *Mediator) probeEndpoints(ctx context.Context) {
+	if rv, ok := m.Coref.(corefRevalidator); ok {
+		pctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
+		// A failed revalidation keeps the memo: lookups that miss it
+		// degrade on their own, and the next tick retries.
+		_ = rv.Revalidate(pctx)
+		cancel()
+	}
 	seen := map[string]bool{}
 	for _, ds := range m.Datasets.All() {
 		url := ds.SPARQLEndpoint

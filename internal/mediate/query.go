@@ -10,6 +10,7 @@ import (
 	"sparqlrw/internal/decompose"
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/obs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/rdf"
@@ -753,7 +754,7 @@ func (m *Mediator) describeRequest(resources []rdf.Term, pol *serve.Policy) (fed
 type GraphStream struct {
 	src      *QueryStream // nil = empty stream
 	template []rdf.Triple
-	canon    *corefCanon
+	coref    funcs.CorefSource
 	prefixes *rdf.PrefixMap
 
 	pending []rdf.Triple
@@ -768,11 +769,11 @@ type GraphStream struct {
 	pre *FederatedResult
 }
 
-func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcsCoref, limit int, prefixes *rdf.PrefixMap) *GraphStream {
+func newGraphStream(src *QueryStream, template []rdf.Triple, coref funcs.CorefSource, limit int, prefixes *rdf.PrefixMap) *GraphStream {
 	return &GraphStream{
 		src:      src,
 		template: template,
-		canon:    newCorefCanon(coref),
+		coref:    coref,
 		seen:     map[rdf.Triple]bool{},
 		limit:    limit,
 		prefixes: prefixes,
@@ -820,7 +821,7 @@ func (g *GraphStream) Next() (rdf.Triple, error) {
 		g.n++
 		for _, tpl := range g.template {
 			if t, ok := eval.InstantiateTemplate(tpl, sol, suffix); ok {
-				g.pending = append(g.pending, g.canon.triple(t))
+				g.pending = append(g.pending, canonTriple(g.coref, t))
 			}
 		}
 	}
@@ -900,46 +901,16 @@ func (g *GraphStream) Close() error {
 	return nil
 }
 
-// funcsCoref is the coref capability GraphStream needs (avoids importing
-// funcs here just for the interface).
-type funcsCoref interface {
-	Equivalents(uri string) []string
-}
-
-// corefCanon canonicalises IRIs to the deterministic (lexicographically
-// smallest) member of their owl:sameAs class, memoised per stream — the
-// same representative rule as the federation merge, applied here to
-// template constants and instantiated triples so graph-level
+// canonTriple maps a triple's IRIs to their owl:sameAs representatives
+// — the rule the federation merge applies to bindings — so graph-level
 // deduplication also collapses sameAs-equivalent facts.
-type corefCanon struct {
-	coref funcsCoref
-	reps  map[string]string
+func canonTriple(src funcs.CorefSource, t rdf.Triple) rdf.Triple {
+	return rdf.Triple{
+		S: funcs.CanonicalTerm(src, t.S),
+		P: funcs.CanonicalTerm(src, t.P),
+		O: funcs.CanonicalTerm(src, t.O),
+	}
 }
 
-func newCorefCanon(coref funcsCoref) *corefCanon {
-	return &corefCanon{coref: coref, reps: map[string]string{}}
-}
-
-func (c *corefCanon) term(t rdf.Term) rdf.Term {
-	if c.coref == nil || !t.IsIRI() {
-		return t
-	}
-	rep, ok := c.reps[t.Value]
-	if !ok {
-		rep = t.Value
-		for _, eq := range c.coref.Equivalents(t.Value) {
-			if eq < rep {
-				rep = eq
-			}
-		}
-		c.reps[t.Value] = rep
-	}
-	if rep == t.Value {
-		return t
-	}
-	return rdf.NewIRI(rep)
-}
-
-func (c *corefCanon) triple(t rdf.Triple) rdf.Triple {
-	return rdf.Triple{S: c.term(t.S), P: c.term(t.P), O: c.term(t.O)}
-}
+// canonical maps an IRI term to its owl:sameAs representative.
+func (m *Mediator) canonical(t rdf.Term) rdf.Term { return funcs.CanonicalTerm(m.Coref, t) }

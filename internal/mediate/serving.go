@@ -13,6 +13,7 @@ import (
 
 	"sparqlrw/internal/eval"
 	"sparqlrw/internal/federate"
+	"sparqlrw/internal/funcs"
 	"sparqlrw/internal/plan"
 	"sparqlrw/internal/serve"
 	"sparqlrw/internal/sparql"
@@ -124,9 +125,8 @@ func (f *cacheFill) attach(res *Result) {
 // allowlist all discriminate; the tenant's algebra restrictions need no
 // extra component because queryParsed rewrote the text before keying.
 func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
-	canon := newCorefCanon(m.Coref)
 	cq := q.Clone()
-	canonicaliseGroup(cq.Where, canon)
+	canonicaliseGroup(cq.Where, m.Coref)
 	parts := []string{sparql.Format(cq), req.SourceOnt, strconv.Itoa(req.Limit)}
 	if len(req.Targets) > 0 {
 		ts := append([]string(nil), req.Targets...)
@@ -144,9 +144,9 @@ func (m *Mediator) resultCacheKey(req QueryRequest, q *sparql.Query) string {
 }
 
 // canonicaliseGroup maps every ground term in the group's basic graph
-// patterns and VALUES blocks through the sameAs canonicaliser, in
-// place (callers pass a clone).
-func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *corefCanon) {
+// patterns and VALUES blocks to its owl:sameAs representative, in place
+// (callers pass a clone).
+func canonicaliseGroup(g *sparql.GroupGraphPattern, src funcs.CorefSource) {
 	if g == nil {
 		return
 	}
@@ -154,21 +154,21 @@ func canonicaliseGroup(g *sparql.GroupGraphPattern, canon *corefCanon) {
 		switch e := el.(type) {
 		case *sparql.BGP:
 			for i := range e.Patterns {
-				e.Patterns[i] = canon.triple(e.Patterns[i])
+				e.Patterns[i] = canonTriple(src, e.Patterns[i])
 			}
 		case *sparql.InlineData:
 			for _, row := range e.Rows {
 				for i, t := range row {
-					row[i] = canon.term(t)
+					row[i] = funcs.CanonicalTerm(src, t)
 				}
 			}
 		case *sparql.SubGroup:
-			canonicaliseGroup(e.Group, canon)
+			canonicaliseGroup(e.Group, src)
 		case *sparql.Optional:
-			canonicaliseGroup(e.Group, canon)
+			canonicaliseGroup(e.Group, src)
 		case *sparql.Union:
 			for _, alt := range e.Alternatives {
-				canonicaliseGroup(alt, canon)
+				canonicaliseGroup(alt, src)
 			}
 		}
 	}

@@ -127,9 +127,8 @@ func TestResultCacheHitZeroRoundTrips(t *testing.T) {
 // entry its Southampton spelling filled.
 func TestResultCacheSameAsAliasKey(t *testing.T) {
 	s := newServingStack(t, serve.Options{})
-	canon := newCorefCanon(s.mediator.Coref)
 	soton, kisti := workload.SotonPerson(0), workload.KistiPerson(0)
-	if canon.term(soton) != canon.term(kisti) {
+	if s.mediator.canonical(soton) != s.mediator.canonical(kisti) {
 		t.Skip("person 0 has no cross-dataset sameAs link in this universe")
 	}
 	mk := func(person rdf.Term) QueryRequest {

@@ -76,10 +76,9 @@ func (r viewRunner) Materialize(ctx context.Context, queryText, sourceOnt string
 // representatives — the refresh loop re-keys views with it when the
 // sameAs closure may have moved.
 func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
-	canon := newCorefCanon(r.m.Coref)
 	out := make([]rdf.Triple, len(patterns))
 	for i, t := range patterns {
-		out[i] = canon.triple(t)
+		out[i] = canonTriple(r.m.Coref, t)
 	}
 	return out
 }
@@ -89,8 +88,7 @@ func (r viewRunner) Canonicalise(patterns []rdf.Triple) []rdf.Triple {
 // returns ok=false — and the caller proceeds to the federated path — on
 // a miss, a stale view, or an evaluation that fails to start.
 func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Query) (*QueryStream, bool) {
-	canon := newCorefCanon(m.Coref)
-	v, engine, ok := m.Views.Answer(q, canon.term)
+	v, engine, ok := m.Views.Answer(q, m.canonical)
 	if !ok {
 		return nil, false
 	}
@@ -98,10 +96,10 @@ func (m *Mediator) viewAnswer(ctx context.Context, req QueryRequest, q *sparql.Q
 	// ground IRIs — in its patterns and in its FILTER constants — must be
 	// canonicalised the same way before local evaluation.
 	cq := q.Clone()
-	canonicaliseGroup(cq.Where, canon)
+	canonicaliseGroup(cq.Where, m.Coref)
 	for _, el := range cq.Where.Elements {
 		if f, isFilter := el.(*sparql.Filter); isFilter {
-			f.Expr = sparql.MapExprTerms(f.Expr, canon.term)
+			f.Expr = sparql.MapExprTerms(f.Expr, m.canonical)
 		}
 	}
 	_, span := obs.StartSpan(ctx, "view")
@@ -134,8 +132,7 @@ func (m *Mediator) observeViews(q *sparql.Query, sourceOnt string, dcm *decompos
 			est = f.EstCard
 		}
 	}
-	canon := newCorefCanon(m.Coref)
-	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, canon.term)
+	m.Views.Observe(q, sourceOnt, dcm.Datasets(), est, m.canonical)
 }
 
 // viewSource pulls solutions straight from the evaluator running over a
